@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import heapq
 
-from repro.baselines.base import FrontierCrawler
-from repro.html.parse import ParsedPage
-from repro.http.messages import Response
+from repro.core.base import Crawler
+from repro.core.kernel import TARGET, FetchKernel, Outcome
 from repro.ml.features import HashedVector, hashed_bow, merge_vectors
+from repro.ml.linear import LogisticRegressionSGD
 
 _FEATURE_DIM = 1 << 14
 
 
-class FocusedCrawler(FrontierCrawler):
+class FocusedCrawler(Crawler):
     """Priority-frontier crawler driven by an online link classifier."""
 
     name = "FOCUSED"
@@ -44,9 +44,7 @@ class FocusedCrawler(FrontierCrawler):
 
     # -- frontier discipline -----------------------------------------------
 
-    def _frontier_init(self) -> None:
-        from repro.ml.linear import LogisticRegressionSGD
-
+    def _begin(self, kernel: FetchKernel) -> None:
         self._heap: list[tuple[float, int, str]] = []
         self._counter = 0
         self._model = LogisticRegressionSGD(_FEATURE_DIM, seed=self.seed)
@@ -54,33 +52,72 @@ class FocusedCrawler(FrontierCrawler):
         self._batch_x: list[HashedVector] = []
         self._batch_y: list[int] = []
         self._fetched = 0
+        #: approximate link depth of every queued URL (a feature)
+        self._depths: dict[str, int] = {kernel.env.root_url: 0}
+        self._push(kernel.env.root_url, "", 0)
 
-    def _frontier_push(self, url: str, context: dict) -> None:
-        features = self._features(
-            url, context.get("anchor", ""), context.get("depth", 0)
-        )
+    def _push(self, url: str, anchor: str, depth: int) -> None:
+        features = self._features(url, anchor, depth)
         self._pending_features[url] = features
         score = self._model.predict_proba(features) if self._model.n_updates else 0.5
         self._counter += 1
         heapq.heappush(self._heap, (-score, self._counter, url))
 
-    def _frontier_pop(self) -> str:
-        return heapq.heappop(self._heap)[2]
+    def _has_next(self) -> bool:
+        return bool(self._heap)
 
-    def _frontier_empty(self) -> bool:
-        return not self._heap
+    def _next(self) -> tuple[str, None]:
+        return heapq.heappop(self._heap)[2], None
+
+    def _requeue(self, url: str, origin: None) -> None:
+        self._push(url, "", self._depths.get(url, 0))
 
     # -- learning ------------------------------------------------------------
 
-    def _on_page(self, url: str, response: Response, parsed: ParsedPage | None,
-                 was_target: bool) -> None:
-        features = self._pending_features.pop(url, None)
-        if features is None:
-            return
-        self._batch_x.append(features)
-        self._batch_y.append(1 if was_target else 0)
-        self._fetched += 1
-        if self._fetched % self.retrain_every == 0 and self._batch_x:
-            self._model.partial_fit(self._batch_x, self._batch_y)
-            self._batch_x.clear()
-            self._batch_y.clear()
+    def _consume(self, outcome: Outcome | None, origin: None) -> bool:
+        if outcome is None:
+            return False
+        features = self._pending_features.pop(outcome.url, None)
+        if features is not None:
+            self._batch_x.append(features)
+            self._batch_y.append(1 if outcome.kind == TARGET else 0)
+            self._fetched += 1
+            if self._fetched % self.retrain_every == 0 and self._batch_x:
+                self._model.partial_fit(self._batch_x, self._batch_y)
+                self._batch_x.clear()
+                self._batch_y.clear()
+        depth = self._depths.get(outcome.url, 0) + 1
+        for link in outcome.links:
+            self._depths[link.url] = depth
+            self._push(link.url, link.anchor, depth)
+        return False
+
+    # -- checkpointing (repro.checkpoint) -----------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "heap": [list(entry) for entry in self._heap],
+            "counter": self._counter,
+            "model": self._model.snapshot_state(),
+            "pending": [
+                [url, features.snapshot_state()]
+                for url, features in self._pending_features.items()
+            ],
+            "batch_x": [features.snapshot_state() for features in self._batch_x],
+            "batch_y": list(self._batch_y),
+            "fetched": self._fetched,
+            "depths": sorted(self._depths.items()),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self._heap = [tuple(entry) for entry in state["heap"]]
+        self._counter = state["counter"]
+        self._model.restore_state(state["model"])
+        self._pending_features = {
+            url: HashedVector.from_state(features)
+            for url, features in state["pending"]
+        }
+        self._batch_x = [HashedVector.from_state(f) for f in state["batch_x"]]
+        self._batch_y = list(state["batch_y"])
+        self._fetched = state["fetched"]
+        self._depths = dict(state["depths"])

@@ -8,8 +8,10 @@ Since optimally covering all targets through the link graph is NP-hard
 
 from __future__ import annotations
 
-from repro.core.base import Crawler, CrawlResult
-from repro.http.environment import CrawlEnvironment
+from collections import deque
+
+from repro.core.base import Crawler
+from repro.core.kernel import FetchKernel
 
 
 class OmniscientCrawler(Crawler):
@@ -17,27 +19,23 @@ class OmniscientCrawler(Crawler):
 
     name = "OMNISCIENT"
 
-    def crawl(
-        self,
-        env: CrawlEnvironment,
-        budget: float | None = None,
-        cost_model: str = "requests",
-    ) -> CrawlResult:
-        client = env.new_client(self.name)
-        targets: set[str] = set()
-        visited: set[str] = set()
-        for url in sorted(env.target_urls()):
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            response = client.get(url)
-            visited.add(url)
-            if response.ok and not response.interrupted:
-                targets.add(url)
-        return CrawlResult(
-            crawler=self.name,
-            site=env.graph.name,
-            trace=client.trace,
-            visited=visited,
-            targets=targets,
-            info={"ledger": client.ledger.snapshot()},
-        )
+    #: no navigation, so no robots.txt either: every request is a target
+    respect_robots = False
+
+    def _begin(self, kernel: FetchKernel) -> None:
+        self._pending = deque(sorted(kernel.env.target_urls()))
+
+    def _has_next(self) -> bool:
+        return bool(self._pending)
+
+    def _next(self) -> tuple[str, None]:
+        return self._pending.popleft(), None
+
+    def _requeue(self, url: str, origin: None) -> None:
+        self._pending.append(url)
+
+    def snapshot_state(self) -> dict:
+        return {"pending": list(self._pending)}
+
+    def restore_state(self, state: dict) -> None:
+        self._pending = deque(state["pending"])

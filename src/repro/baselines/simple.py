@@ -10,9 +10,27 @@
 from __future__ import annotations
 
 import random
+from abc import abstractmethod
 from collections import deque
 
-from repro.baselines.base import FrontierCrawler
+from repro.core.base import Crawler
+from repro.core.kernel import FetchKernel, Outcome
+
+
+class FrontierCrawler(Crawler):
+    """Exhaustive crawler: queue every new link, pop by a discipline."""
+
+    @abstractmethod
+    def _push(self, url: str) -> None: ...
+
+    def _requeue(self, url: str, origin: None) -> None:
+        self._push(url)
+
+    def _consume(self, outcome: Outcome | None, origin: None) -> bool:
+        if outcome is not None:
+            for link in outcome.links:
+                self._push(link.url)
+        return False
 
 
 class BFSCrawler(FrontierCrawler):
@@ -20,22 +38,22 @@ class BFSCrawler(FrontierCrawler):
 
     name = "BFS"
 
-    def _frontier_init(self) -> None:
-        self._queue: deque[str] = deque()
+    def _begin(self, kernel: FetchKernel) -> None:
+        self._queue: deque[str] = deque([kernel.env.root_url])
 
-    def _frontier_push(self, url: str, context: dict) -> None:
+    def _has_next(self) -> bool:
+        return bool(self._queue)
+
+    def _next(self) -> tuple[str, None]:
+        return self._queue.popleft(), None
+
+    def _push(self, url: str) -> None:
         self._queue.append(url)
 
-    def _frontier_pop(self) -> str:
-        return self._queue.popleft()
-
-    def _frontier_empty(self) -> bool:
-        return not self._queue
-
-    def _frontier_state(self) -> dict | None:
+    def snapshot_state(self) -> dict:
         return {"queue": list(self._queue)}
 
-    def _frontier_restore(self, state: dict) -> None:
+    def restore_state(self, state: dict) -> None:
         self._queue = deque(state["queue"])
 
 
@@ -44,22 +62,22 @@ class DFSCrawler(FrontierCrawler):
 
     name = "DFS"
 
-    def _frontier_init(self) -> None:
-        self._stack: list[str] = []
+    def _begin(self, kernel: FetchKernel) -> None:
+        self._stack: list[str] = [kernel.env.root_url]
 
-    def _frontier_push(self, url: str, context: dict) -> None:
+    def _has_next(self) -> bool:
+        return bool(self._stack)
+
+    def _next(self) -> tuple[str, None]:
+        return self._stack.pop(), None
+
+    def _push(self, url: str) -> None:
         self._stack.append(url)
 
-    def _frontier_pop(self) -> str:
-        return self._stack.pop()
-
-    def _frontier_empty(self) -> bool:
-        return not self._stack
-
-    def _frontier_state(self) -> dict | None:
+    def snapshot_state(self) -> dict:
         return {"stack": list(self._stack)}
 
-    def _frontier_restore(self, state: dict) -> None:
+    def restore_state(self, state: dict) -> None:
         self._stack = list(state["stack"])
 
 
@@ -71,27 +89,27 @@ class RandomCrawler(FrontierCrawler):
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
-    def _frontier_init(self) -> None:
+    def _begin(self, kernel: FetchKernel) -> None:
         self._rng = random.Random(self.seed)
-        self._items: list[str] = []
+        self._items: list[str] = [kernel.env.root_url]
 
-    def _frontier_push(self, url: str, context: dict) -> None:
-        self._items.append(url)
+    def _has_next(self) -> bool:
+        return bool(self._items)
 
-    def _frontier_pop(self) -> str:
+    def _next(self) -> tuple[str, None]:
         index = self._rng.randrange(len(self._items))
         self._items[index], self._items[-1] = self._items[-1], self._items[index]
-        return self._items.pop()
+        return self._items.pop(), None
 
-    def _frontier_empty(self) -> bool:
-        return not self._items
+    def _push(self, url: str) -> None:
+        self._items.append(url)
 
-    def _frontier_state(self) -> dict | None:
+    def snapshot_state(self) -> dict:
         from repro.checkpoint.codec import encode_rng_state
 
         return {"items": list(self._items), "rng": encode_rng_state(self._rng)}
 
-    def _frontier_restore(self, state: dict) -> None:
+    def restore_state(self, state: dict) -> None:
         from repro.checkpoint.codec import decode_rng_state
 
         self._items = list(state["items"])

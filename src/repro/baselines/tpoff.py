@@ -23,13 +23,10 @@ import heapq
 from collections import deque
 
 from repro.core.actions import ActionSpace
-from repro.core.base import Crawler, CrawlResult
+from repro.core.base import Crawler
+from repro.core.kernel import PAGE, FetchKernel, Outcome
 from repro.core.tagpath import TagPathVectorizer
-from repro.http.environment import CrawlEnvironment
-from repro.webgraph.mime import is_blocklisted_extension
 from repro.webgraph.model import PageKind
-
-_MAX_CHAIN_DEPTH = 25
 
 
 class TPOffCrawler(Crawler):
@@ -51,120 +48,110 @@ class TPOffCrawler(Crawler):
 
     # -- oracle benefit (paper: provided "as if given by an oracle") ------
 
-    @staticmethod
-    def _page_benefit(env: CrawlEnvironment, url: str, target_urls: set[str]) -> int:
-        page = env.graph.get(url)
+    def _page_benefit(self, url: str) -> int:
+        page = self._graph.get(url)
         if page is None or page.kind is not PageKind.HTML:
             return 0
-        return sum(1 for link in page.links if link.url in target_urls)
+        return sum(1 for link in page.links if link.url in self._target_urls)
 
-    # -- crawl ------------------------------------------------------------
+    def _group_priority(self, group: int | None) -> float:
+        if group is None or group not in self._benefit_count:
+            return 0.0  # unseen groups: fixed benefit 0
+        return self._benefit_sum[group] / self._benefit_count[group]
 
-    def crawl(
-        self,
-        env: CrawlEnvironment,
-        budget: float | None = None,
-        cost_model: str = "requests",
-    ) -> CrawlResult:
-        from repro.http.robots import fetch_robots_policy
+    # -- policy -----------------------------------------------------------
 
-        client = env.new_client(self.name)
-        robots = fetch_robots_policy(client, env.root_url)
-        vectorizer = TagPathVectorizer(n=self.ngram_n)
-        actions = ActionSpace(vectorizer, theta=self.theta, seed=self.seed)
-        target_urls = env.target_urls()  # oracle access, bootstrap phase only
-
-        seen: set[str] = {env.root_url}
-        visited: set[str] = set()
-        targets: set[str] = set()
+    def _begin(self, kernel: FetchKernel) -> None:
+        self._graph = kernel.env.graph
+        self._target_urls = kernel.env.target_urls()  # oracle, bootstrap only
+        self._vectorizer = TagPathVectorizer(n=self.ngram_n)
+        self._actions = ActionSpace(self._vectorizer, theta=self.theta, seed=self.seed)
         # Bootstrap frontier: FIFO of (url, group of the inbound link).
-        queue: deque[tuple[str, int | None]] = deque([(env.root_url, None)])
-        # Benefit accumulators per tag-path group.
-        benefit_sum: dict[int, float] = {}
-        benefit_count: dict[int, int] = {}
-        # Exploitation frontier: heap keyed by -avg benefit of the group.
-        heap: list[tuple[float, int, str]] = []
-        counter = 0
-        fetched_html = 0
-
-        def group_priority(group: int | None) -> float:
-            if group is None or group not in benefit_count:
-                return 0.0  # unseen groups: fixed benefit 0
-            return benefit_sum[group] / benefit_count[group]
-
-        def fetch(url: str, group: int | None, depth: int = 0) -> None:
-            nonlocal fetched_html, counter
-            if depth > _MAX_CHAIN_DEPTH or url in visited:
-                return
-            if self.budget_exhausted(client, budget, cost_model):
-                return
-            response = client.get(url)
-            visited.add(url)
-            if response.interrupted or response.is_error:
-                return
-            if response.is_redirect:
-                location = response.redirect_to
-                if location and env.in_site(location) and location not in visited:
-                    seen.add(location)
-                    fetch(location, group, depth + 1)
-                return
-            mime = response.mime_root() or ""
-            if env.is_target_mime(mime):
-                targets.add(url)
-                return
-            if "html" not in mime:
-                return
-            fetched_html += 1
-            in_bootstrap = fetched_html <= self.bootstrap_pages
-            if in_bootstrap and group is not None:
-                benefit = float(self._page_benefit(env, url, target_urls))
-                benefit_sum[group] = benefit_sum.get(group, 0.0) + benefit
-                benefit_count[group] = benefit_count.get(group, 0) + 1
-            parsed = env.parse(response)
-            for link in parsed.links:
-                if link.url in seen:
-                    continue
-                if not env.in_site(link.url) or is_blocklisted_extension(link.url):
-                    continue
-                if not robots.allowed(link.url):
-                    continue
-                seen.add(link.url)
-                link_group = actions.assign(link.tag_path)
-                if in_bootstrap:
-                    queue.append((link.url, link_group))
-                else:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (-group_priority(link_group), counter, link.url)
-                    )
-
-        # Phase 1: BFS bootstrap with oracle benefits.
-        while queue and fetched_html < self.bootstrap_pages:
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            url, group = queue.popleft()
-            fetch(url, group)
-
-        # Phase transition: rank the remaining bootstrap frontier by the
-        # learned group priorities.
-        for url, group in queue:
-            counter += 1
-            heapq.heappush(heap, (-group_priority(group), counter, url))
-        queue.clear()
-
-        # Phase 2: exploitation by fixed group priorities.
-        while heap:
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            _, _, url = heapq.heappop(heap)
-            fetch(url, None)
-
-        return CrawlResult(
-            crawler=self.name,
-            site=env.graph.name,
-            trace=client.trace,
-            visited=visited,
-            targets=targets,
-            info={"n_groups": actions.n_actions,
-                  "ledger": client.ledger.snapshot()},
+        self._queue: deque[tuple[str, int | None]] = deque(
+            [(kernel.env.root_url, None)]
         )
+        # Benefit accumulators per tag-path group.
+        self._benefit_sum: dict[int, float] = {}
+        self._benefit_count: dict[int, int] = {}
+        # Exploitation frontier: heap keyed by -avg benefit of the group.
+        self._heap: list[tuple[float, int, str, int | None]] = []
+        self._counter = 0
+        self._fetched_html = 0
+
+    def _rank(self, url: str, group: int | None) -> None:
+        self._counter += 1
+        heapq.heappush(
+            self._heap, (-self._group_priority(group), self._counter, url, group)
+        )
+
+    def _bootstrapping(self) -> bool:
+        return self._fetched_html < self.bootstrap_pages
+
+    def _has_next(self) -> bool:
+        # Phase 1: BFS bootstrap with oracle benefits.
+        if self._queue and self._bootstrapping():
+            return True
+        # Phase transition: rank the remaining bootstrap frontier by the
+        # learned group priorities; phase 2 exploits them.
+        for url, group in self._queue:
+            self._rank(url, group)
+        self._queue.clear()
+        return bool(self._heap)
+
+    def _next(self) -> tuple[str, int | None]:
+        if self._queue:
+            return self._queue.popleft()
+        _, _, url, group = heapq.heappop(self._heap)
+        return url, group
+
+    def _requeue(self, url: str, group: int | None) -> None:
+        if self._bootstrapping():
+            self._queue.append((url, group))
+        else:
+            self._rank(url, group)
+
+    def _consume(self, outcome: Outcome | None, group: int | None) -> bool:
+        if outcome is None or outcome.kind != PAGE:
+            return False
+        self._fetched_html += 1
+        in_bootstrap = self._fetched_html <= self.bootstrap_pages
+        if in_bootstrap and group is not None:
+            benefit = float(self._page_benefit(outcome.url))
+            self._benefit_sum[group] = self._benefit_sum.get(group, 0.0) + benefit
+            self._benefit_count[group] = self._benefit_count.get(group, 0) + 1
+        for link in outcome.links:
+            link_group = self._actions.assign(link.tag_path)
+            if in_bootstrap:
+                self._queue.append((link.url, link_group))
+            else:
+                self._rank(link.url, link_group)
+        return False
+
+    def _info(self) -> dict:
+        return {"n_groups": self._actions.n_actions}
+
+    # -- checkpointing (repro.checkpoint) -----------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "vectorizer": self._vectorizer.snapshot_state(),
+            "actions": self._actions.snapshot_state(),
+            "queue": [list(entry) for entry in self._queue],
+            "benefit": [
+                [group, self._benefit_sum[group], count]
+                for group, count in self._benefit_count.items()
+            ],
+            "heap": [list(entry) for entry in self._heap],
+            "counter": self._counter,
+            "fetched_html": self._fetched_html,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self._vectorizer.restore_state(state["vectorizer"])
+        self._actions.restore_state(state["actions"])
+        self._queue = deque(tuple(entry) for entry in state["queue"])
+        self._benefit_sum = {group: total for group, total, _ in state["benefit"]}
+        self._benefit_count = {group: count for group, _, count in state["benefit"]}
+        self._heap = [tuple(entry) for entry in state["heap"]]
+        self._counter = state["counter"]
+        self._fetched_html = state["fetched_html"]

@@ -17,6 +17,13 @@ Two behavioural adaptations from the paper: links that are not HTML
 (which TRES would ignore) are visited immediately and counted if they
 turn out to be targets, and the language filter is disabled.
 
+Like every crawler here, TRES fetches through the shared kernel
+(:mod:`repro.core.kernel`), so it follows a redirect at once — unless
+its destination already waits in the frontier — where it used to queue
+the destination as a new frontier entry.  A target link that redirects
+therefore now reaches its target, and abandoned requests are requeued
+and then dead-lettered like everyone else's.
+
 The deep network is replaced by an online logistic model over word
 features — the decision signals (keywords, page text, anchor text) and
 the cost profile are preserved: like the original, this adaptation
@@ -29,12 +36,12 @@ from __future__ import annotations
 
 import re
 
-from repro.core.base import Crawler, CrawlResult
+from repro.core.base import Crawler
+from repro.core.kernel import PAGE, FetchKernel, Outcome
 from repro.core.url_classifier import OracleUrlClassifier, UrlClass
 from repro.http.environment import CrawlEnvironment
 from repro.ml.features import HashedVector, hashed_bow, merge_vectors
 from repro.ml.linear import LogisticRegressionSGD
-from repro.webgraph.mime import is_blocklisted_extension
 
 #: The 74 keywords the paper supplies to TRES (Appendix B.2).
 TRES_KEYWORDS: tuple[str, ...] = (
@@ -109,95 +116,85 @@ class TresCrawler(Crawler):
         lowered = text.lower()
         return sum(1.0 for keyword in self.keywords if keyword in lowered)
 
-    # -- crawl ----------------------------------------------------------------
+    # -- policy -----------------------------------------------------------
 
-    def crawl(
-        self,
-        env: CrawlEnvironment,
-        budget: float | None = None,
-        cost_model: str = "requests",
-        max_steps: int | None = None,
-    ) -> CrawlResult:
-        from repro.http.robots import fetch_robots_policy
-
-        client = env.new_client(self.name)
-        robots = fetch_robots_policy(client, env.root_url)
-        model = self._pretrain(env)
+    def _begin(self, kernel: FetchKernel) -> None:
+        self._kernel = kernel
+        self._model = self._pretrain(kernel.env)
         # unfair advantage (iii): oracle URL typing at zero cost
-        oracle = OracleUrlClassifier(env.graph, env.target_mimes)
-
-        seen: set[str] = {env.root_url}
-        visited: set[str] = set()
-        targets: set[str] = set()
+        self._oracle = OracleUrlClassifier(kernel.env.graph, kernel.env.target_mimes)
         #: frontier entries: url -> feature vector (anchor + source text)
-        frontier: dict[str, HashedVector] = {
-            env.root_url: _text_features("root")
+        self._frontier: dict[str, HashedVector] = {
+            kernel.env.root_url: _text_features("root")
         }
-        steps = 0
+        self._steps = 0
 
-        while frontier:
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            if max_steps is not None and steps >= max_steps:
-                break
-            steps += 1
-            # TRES's scalability bottleneck, reproduced on purpose: the
-            # full frontier is re-scored at every expansion step.
-            best_url = max(
-                frontier,
-                key=lambda u: model.predict_proba(frontier[u]),
-            )
-            frontier.pop(best_url)
-            response = client.get(best_url)
-            visited.add(best_url)
-            if response.interrupted or response.is_error:
-                continue
-            if response.is_redirect:
-                location = response.redirect_to
-                if location and env.in_site(location) and location not in seen:
-                    seen.add(location)
-                    frontier[location] = _text_features("redirect")
-                continue
-            mime = response.mime_root() or ""
-            if "html" not in mime:
-                continue
-            parsed = env.parse(response)
-            page_relevant = self._keyword_score(parsed.text) > 0
-            # Online update: page's own label from whether it links targets.
-            anchors = " ".join(link.anchor for link in parsed.links)
-            for link in parsed.links:
-                if link.url in seen:
-                    continue
-                if not env.in_site(link.url) or is_blocklisted_extension(link.url):
-                    continue
-                if not robots.allowed(link.url):
-                    continue
-                seen.add(link.url)
-                url_class = oracle.classify(link.url)
-                if url_class is UrlClass.HTML:
-                    frontier[link.url] = merge_vectors(
-                        [_text_features(link.anchor or "link"),
-                         _text_features(parsed.text[:400])]
-                    )
-                elif url_class is UrlClass.TARGET:
-                    # Adaptation: non-HTML links are visited immediately.
-                    if self.budget_exhausted(client, budget, cost_model):
-                        break
-                    target_response = client.get(link.url)
-                    visited.add(link.url)
-                    if target_response.ok and not target_response.interrupted:
-                        targets.add(link.url)
-            # Reinforce the relevance model with the observed page.
-            label = 1 if (page_relevant and any(
-                l.url in targets for l in parsed.links)) else 0
-            model.partial_fit([_text_features(anchors)], [label])
+    def _has_next(self) -> bool:
+        return bool(self._frontier)
 
-        return CrawlResult(
-            crawler=self.name,
-            site=env.graph.name,
-            trace=client.trace,
-            visited=visited,
-            targets=targets,
-            info={"steps": steps,
-                  "ledger": client.ledger.snapshot()},
+    def _next(self) -> tuple[str, HashedVector]:
+        self._steps += 1
+        # TRES's scalability bottleneck, reproduced on purpose: the
+        # full frontier is re-scored at every expansion step.
+        best_url = max(
+            self._frontier,
+            key=lambda u: self._model.predict_proba(self._frontier[u]),
         )
+        return best_url, self._frontier.pop(best_url)
+
+    def _requeue(self, url: str, features: HashedVector | None) -> None:
+        self._frontier[url] = (
+            features if features is not None else _text_features("requeue")
+        )
+
+    def _queued(self, url: str) -> bool:
+        return url in self._frontier
+
+    def _consume(self, outcome: Outcome | None, features: HashedVector) -> bool:
+        if outcome is None or outcome.kind != PAGE:
+            return False
+        kernel = self._kernel
+        parsed = outcome.parsed
+        page_relevant = self._keyword_score(parsed.text) > 0
+        # Online update: page's own label from whether it links targets.
+        anchors = " ".join(link.anchor for link in parsed.links)
+        for link in outcome.links:
+            url_class = self._oracle.classify(link.url)
+            if url_class is UrlClass.HTML:
+                self._frontier[link.url] = merge_vectors(
+                    [_text_features(link.anchor or "link"),
+                     _text_features(parsed.text[:400])]
+                )
+            elif url_class is UrlClass.TARGET:
+                # Adaptation: non-HTML links are visited immediately.
+                if kernel.budget_exhausted():
+                    break
+                kernel.fetch(link.url, None, outcome.depth + 1)
+        # Reinforce the relevance model with the observed page.
+        label = 1 if (page_relevant and any(
+            l.url in kernel.targets for l in parsed.links)) else 0
+        self._model.partial_fit([_text_features(anchors)], [label])
+        return False
+
+    def _info(self) -> dict:
+        return {"steps": self._steps}
+
+    # -- checkpointing (repro.checkpoint) -----------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "model": self._model.snapshot_state(),
+            "frontier": [
+                [url, features.snapshot_state()]
+                for url, features in self._frontier.items()
+            ],
+            "steps": self._steps,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self._model.restore_state(state["model"])
+        self._frontier = {
+            url: HashedVector.from_state(features)
+            for url, features in state["frontier"]
+        }
+        self._steps = state["steps"]

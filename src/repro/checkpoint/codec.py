@@ -24,7 +24,8 @@ import numpy as np
 
 #: bump when the payload layout changes incompatibly; loaders reject
 #: checkpoints written under a different schema instead of guessing
-SCHEMA_VERSION = 1
+#: (2: one "crawl" payload for every crawler, docs/checkpoint.md)
+SCHEMA_VERSION = 2
 
 
 def canonical_json(payload: object) -> str:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.trace import CrawlTrace
-from repro.http.client import HttpClient
+from repro.core.kernel import FetchKernel, Outcome
 from repro.http.environment import CrawlEnvironment
+from repro.obs.observer import Observer
 
 
 @dataclass
@@ -49,26 +50,86 @@ class CrawlResult:
 
 
 class Crawler(ABC):
-    """Abstract crawler: subclasses implement one crawl strategy."""
+    """A crawl policy run by the shared :class:`~repro.core.kernel.FetchKernel`.
+
+    The kernel does the fetching, the bookkeeping and the loop; a
+    subclass only decides which URL comes next and what to make of each
+    fetch.  Its per-run state lives on the instance: :meth:`_begin`
+    builds it fresh (root queued) at the start of every crawl, and
+    :meth:`snapshot_state` / :meth:`restore_state` carry it through a
+    checkpoint.
+    """
 
     #: display name used in result tables (paper's crawler names)
     name: str = "crawler"
 
-    @abstractmethod
+    #: polite crawlers fetch and honour robots.txt (one extra request)
+    respect_robots: bool = True
+
+    #: event sink for this crawler's client; None uses the environment's
+    observer: Observer | None = None
+
     def crawl(
         self,
         env: CrawlEnvironment,
         budget: float | None = None,
         cost_model: str = "requests",
+        checkpoint=None,
     ) -> CrawlResult:
-        """Run the crawl until the frontier is empty or the budget is spent."""
+        """Run the crawl until the frontier is empty or the budget is
+        spent; ``checkpoint`` (a ``CrawlCheckpointer``) makes it durable."""
+        kernel = FetchKernel(env, self, budget, cost_model)
+        stopped_early = kernel.loop(checkpoint)
+        trace = kernel.client.trace
+        if stopped_early:
+            trace.stopped_early_at = len(trace.records)
+        return CrawlResult(
+            crawler=self.name,
+            site=env.graph.name,
+            trace=trace,
+            visited=kernel.visited,
+            targets=kernel.targets,
+            stopped_early=stopped_early,
+            dead_letters=kernel.dead_letters,
+            info={"ledger": kernel.client.ledger.snapshot(), **self._info()},
+        )
 
-    # -- shared helpers ----------------------------------------------------
+    # -- the policy, called by the kernel --------------------------------
 
-    @staticmethod
-    def budget_exhausted(
-        client: HttpClient, budget: float | None, cost_model: str
-    ) -> bool:
-        if budget is None:
-            return False
-        return client.budget_spent(cost_model) >= budget
+    @abstractmethod
+    def _begin(self, kernel: FetchKernel) -> None:
+        """Fresh per-run state with the root URL queued."""
+
+    @abstractmethod
+    def _has_next(self) -> bool:
+        """Whether any URL is left to fetch."""
+
+    @abstractmethod
+    def _next(self) -> tuple[str, Any]:
+        """Pop the next URL with its origin token (see ``FetchKernel.fetch``)."""
+
+    @abstractmethod
+    def _requeue(self, url: str, origin: Any) -> None:
+        """Queue an abandoned URL again."""
+
+    def _queued(self, url: str) -> bool:
+        """Whether ``url`` waits in the frontier; the kernel does not
+        follow a redirect there.  Disciplines without cheap membership
+        answer False and follow it."""
+        return False
+
+    def _consume(self, outcome: Outcome | None, origin: Any) -> bool:
+        """Act on a popped URL's fetch; True stops the crawl early."""
+        return False
+
+    def _info(self) -> dict[str, Any]:
+        """Crawler-specific extras for :attr:`CrawlResult.info`."""
+        return {}
+
+    @abstractmethod
+    def snapshot_state(self) -> dict:
+        """The per-run policy state as a canonical-JSON-safe payload."""
+
+    @abstractmethod
+    def restore_state(self, state: dict) -> None:
+        """Inverse of :meth:`snapshot_state`, applied after :meth:`_begin`."""

@@ -215,25 +215,15 @@ class OnlineUrlClassifier:
 
     @staticmethod
     def _encode_batch(batch: _Batch) -> dict:
-        from repro.checkpoint.codec import encode_array
-
         return {
-            "vectors": [
-                [encode_array(v.indices), encode_array(v.values), v.dim]
-                for v in batch.vectors
-            ],
+            "vectors": [v.snapshot_state() for v in batch.vectors],
             "labels": list(batch.labels),
         }
 
     @staticmethod
     def _decode_batch(payload: dict) -> _Batch:
-        from repro.checkpoint.codec import decode_array
-
         return _Batch(
-            vectors=[
-                HashedVector(decode_array(indices), decode_array(values), dim)
-                for indices, values, dim in payload["vectors"]
-            ],
+            vectors=[HashedVector.from_state(v) for v in payload["vectors"]],
             labels=list(payload["labels"]),
         )
 

@@ -36,6 +36,20 @@ class HashedVector:
     def scale(self, factor: float) -> "HashedVector":
         return HashedVector(self.indices, self.values * factor, self.dim)
 
+    def snapshot_state(self) -> list:
+        """Bit-exact canonical-JSON form (repro.checkpoint)."""
+        from repro.checkpoint.codec import encode_array
+
+        return [encode_array(self.indices), encode_array(self.values), self.dim]
+
+    @classmethod
+    def from_state(cls, state: list) -> "HashedVector":
+        """Inverse of :meth:`snapshot_state`."""
+        from repro.checkpoint.codec import decode_array
+
+        indices, values, dim = state
+        return cls(decode_array(indices), decode_array(values), dim)
+
 
 def char_ngrams(text: str, n: int = 2) -> list[str]:
     """Character n-grams of ``text`` (e.g. ``"abc"`` → ``["ab", "bc"]``)."""

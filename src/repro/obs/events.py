@@ -115,7 +115,7 @@ class ClassifierBatchTrained(CrawlEvent):
 class TargetFound(CrawlEvent):
     """A target file was retrieved and counted.
 
-    Emitted by ``SBCrawler._crawl_next_page`` when a GET response's
+    Emitted by ``SBCrawler._reward`` when a GET response's
     MIME type confirms a target.  ``ordinal`` matches the
     :class:`FetchEvent` of the confirming request.
     """

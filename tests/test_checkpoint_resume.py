@@ -118,20 +118,39 @@ def test_resume_does_not_duplicate_periodic_checkpoints(tmp_path):
     assert len(store.read_all()) > 0 and n_before > 0
 
 
-@pytest.mark.parametrize("crawler_name", ["BFS", "RANDOM"])
+@pytest.mark.parametrize(
+    "crawler_name",
+    ["BFS", "RANDOM", "DFS", "FOCUSED", "TP-OFF", "TRES", "OMNISCIENT"],
+)
 def test_baseline_crawl_interrupt_resume(crawler_name, tmp_path):
-    from repro.baselines import BFSCrawler, RandomCrawler
+    """Every baseline resumes through the one crawl payload: two kills,
+    the second after a restore, and the result is still byte-identical.
+    TP-OFF's short bootstrap puts its phase change between the kills."""
+    from repro.baselines import TPOffCrawler, make_crawler
+    from repro.core.kernel import FetchKernel
+
+    def make():
+        if crawler_name == "TP-OFF":
+            return TPOffCrawler(bootstrap_pages=30, seed=3)
+        return make_crawler(crawler_name, seed=3)
 
     def run(checkpoint=None):
-        crawler = (
-            BFSCrawler() if crawler_name == "BFS" else RandomCrawler(seed=3)
-        )
-        return crawler.crawl(_sb_env(), budget=BUDGET, checkpoint=checkpoint)
+        return make().crawl(_sb_env(), budget=BUDGET, checkpoint=checkpoint)
 
     reference = _fingerprint(run())
     store = CheckpointStore(tmp_path)
     with pytest.raises(CrawlInterrupted):
-        run(CrawlCheckpointer(store=store, every=6, interrupt_at=25))
+        run(CrawlCheckpointer(store=store, every=6, interrupt_at=20))
+    # snapshot -> restore -> snapshot is the identity on the policy state
+    policy_state = store.read_latest().payload["policy"]
+    fresh = make()
+    fresh._begin(FetchKernel(_sb_env(), fresh))
+    fresh.restore_state(policy_state)
+    assert canonical_json(fresh.snapshot_state()) == canonical_json(policy_state)
+    second = CrawlCheckpointer(store=store, every=6, interrupt_at=45)
+    second.arm_resume(store.read_latest())
+    with pytest.raises(CrawlInterrupted):
+        run(second)
     resumed = CrawlCheckpointer(store=store, every=6)
     resumed.arm_resume(store.read_latest())
     assert _fingerprint(run(resumed)) == reference
@@ -228,10 +247,12 @@ def test_checkpoint_params_do_not_change_the_report_digest(tmp_path):
     assert checkpointed.to_json() == plain.to_json()
 
 
-def test_crawler_without_checkpoint_support_still_resumes_shard(tmp_path):
-    """FOCUSED has no frontier snapshot: an interrupted shard restarts
-    the in-flight site from scratch but keeps completed sites — and the
-    final outcome still matches the uninterrupted run."""
+def test_focused_shard_resumes_mid_site(tmp_path):
+    """FOCUSED checkpoints through the same payload as every crawler: an
+    interrupted shard resumes its in-flight site mid-crawl instead of
+    restarting it, and the outcome matches the uninterrupted run."""
+    from repro.campaign.checkpoint import site_store
+
     def task(resume=False):
         return ShardTask(
             shard_id=0, sites=("be", "cl"), crawler="FOCUSED", seed=5,
@@ -246,6 +267,9 @@ def test_crawler_without_checkpoint_support_still_resumes_shard(tmp_path):
     )
     interrupted = run_shard(task(), shutdown=CountdownFlag(60))
     assert interrupted.status == "interrupted"
+    in_flight = site_store(str(tmp_path / "ckpt"), 0, "be").read_latest()
+    assert in_flight is not None and in_flight.payload["kind"] == "crawl"
+    assert in_flight.step > 0
     resumed = run_shard(task(resume=True))
     assert resumed.status == "completed"
     assert resumed.sites == reference.sites
